@@ -7,183 +7,65 @@ import (
 	"graphrepair/internal/hypergraph"
 )
 
-// skeletons returns the reachability skeletons, rule-indexed:
-// sk[ruleIdx(A)][i][j] = true iff the j-th external node of val(A) is
-// reachable from the i-th (Thm. 6). We store the reachability
-// relation restricted to external nodes directly (at most rank² bits)
-// instead of the paper's SCC cycle gadget — same semantics, and
-// linear for bounded rank (see DESIGN.md §5). The bottom-up pass runs
-// at most once per engine (behind a memo; eagerly under
-// EngineOptions.Precompute) and polls ctx between rules; a canceled
-// build is not memoized, so the next query retries.
-func (e *Engine) skeletons(ctx context.Context) ([][][]bool, error) {
-	return e.skel.get(func() ([][][]bool, error) {
-		skel := make([][][]bool, len(e.rules))
-		tk := ticker{ctx: ctx}
-		for _, nt := range e.bottomUp {
-			if err := tk.check("query: reachability skeletons"); err != nil {
-				return nil, err
-			}
-			rhs := e.rule(nt).rhs
-			adj := e.expandedAdjacency(rhs, skel)
-			ext := rhs.Ext()
-			sk := make([][]bool, len(ext))
-			for i, src := range ext {
-				sk[i] = make([]bool, len(ext))
-				reach := bfs(adj, src)
-				for j, dst := range ext {
-					if i != j && reach[dst] {
-						sk[i][j] = true
-					}
-				}
-			}
-			skel[e.ruleIdx(nt)] = sk
-		}
-		return skel, nil
-	})
+// part is one graph glued into a search graph: a right-hand side in a
+// bottom-up skeleton pass (loc == nil: nodes are named by their rule
+// NodeID), or one instance of a query's path expansion (nodes are
+// named by derived ID, so the external nodes an instance shares with
+// its parent get the parent's name for free). skip holds the
+// instance's nonterminal edges that are expanded as child instances
+// and so contribute no skeleton arcs.
+type part struct {
+	h     *hypergraph.Graph
+	loc   *Location
+	level int
+	skip  [2]hypergraph.EdgeID
 }
 
-// expandedAdjacency builds the directed adjacency of a right-hand side
-// (or the start graph) with every nonterminal edge replaced by its
-// skeleton edges (from skel, which may still be under construction
-// during the bottom-up pass).
-func (e *Engine) expandedAdjacency(h *hypergraph.Graph, skel [][][]bool) map[hypergraph.NodeID][]hypergraph.NodeID {
-	adj := make(map[hypergraph.NodeID][]hypergraph.NodeID, h.NumNodes())
-	for id := range h.EdgesSeq() {
-		ed := h.Edge(id)
-		att := h.Att(id)
-		if e.g.IsTerminal(ed.Label) {
-			adj[att[0]] = append(adj[att[0]], att[1])
-			continue
-		}
-		sk := skel[e.ruleIdx(ed.Label)]
-		for i := range sk {
-			for j := range sk[i] {
-				if sk[i][j] {
-					adj[att[i]] = append(adj[att[i]], att[j])
-				}
-			}
-		}
+// name returns the search-graph name of node v of p.
+func (e *Engine) name(p *part, v hypergraph.NodeID) int64 {
+	if p.loc == nil {
+		return int64(v)
 	}
-	return adj
+	return e.resolveUp(p.loc, p.level, v)
 }
 
-func bfs(adj map[hypergraph.NodeID][]hypergraph.NodeID, src hypergraph.NodeID) map[hypergraph.NodeID]bool {
-	reach := map[hypergraph.NodeID]bool{src: true}
-	queue := []hypergraph.NodeID{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range adj[v] {
-			if !reach[u] {
-				reach[u] = true
-				queue = append(queue, u)
-			}
-		}
+// expanded reports whether nonterminal edge id of p is expanded as a
+// child instance.
+func (p *part) expanded(id hypergraph.EdgeID) bool {
+	return id == p.skip[0] || id == p.skip[1]
+}
+
+// rulePart is a right-hand side in a bottom-up skeleton pass.
+func rulePart(h *hypergraph.Graph) part {
+	return part{h: h, skip: [2]hypergraph.EdgeID{hypergraph.NoEdge, hypergraph.NoEdge}}
+}
+
+// expandPaths glues the right-hand sides along the G-representations
+// l1 and l2 (Thm. 6): it calls emit for every level of l1, then for
+// the levels of l2 below their common path prefix (the levels down to
+// the prefix are l1's instances too, emitted once). Each instance
+// skips the on-path edge of each location leaving it — at most two
+// edges, and only shared instances have two.
+func (e *Engine) expandPaths(l1, l2 *Location, emit func(*part)) {
+	cp := 0
+	for cp < len(l1.Path) && cp < len(l2.Path) && l1.Path[cp] == l2.Path[cp] {
+		cp++
 	}
-	return reach
-}
-
-// nodeKey names a node of the path-expanded graph: the instance it
-// belongs to (by derivation-path key; "" is the start graph) and its
-// node ID there.
-type nodeKey struct {
-	inst string
-	node hypergraph.NodeID
-}
-
-// instance is one expanded right-hand side along a G-representation
-// path.
-type instance struct {
-	key    string
-	parent string
-	edge   hypergraph.EdgeID // edge in parent deriving this instance
-	graph  *hypergraph.Graph
-}
-
-// pathExpansion glues the start graph and the right-hand-side
-// instances along one or two G-representation paths, sharing instances
-// along common prefixes. It backs both plain reachability (Thm. 6) and
-// regular path queries. Its maps live in the pooled query scratch —
-// per-call state, never shared.
-type pathExpansion struct {
-	e         *Engine
-	instances map[string]instance
-	// onPath[instKey][edgeID]: this nonterminal edge is expanded as a
-	// child instance, so its skeleton must not be added.
-	onPath map[string]map[hypergraph.EdgeID]bool
-}
-
-func prefKey(path []hypergraph.EdgeID, n int) string {
-	b := make([]byte, 0, 4*n)
-	for _, id := range path[:n] {
-		b = append(b, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
+	onPath := func(l *Location, i int) hypergraph.EdgeID {
+		if i < len(l.Path) {
+			return l.Path[i]
+		}
+		return hypergraph.NoEdge
 	}
-	return string(b)
-}
-
-// expandPathsInto builds the shared instance set for the given
-// locations inside the scratch's pathExpansion (cleared on the
-// scratch's previous release).
-func (e *Engine) expandPathsInto(s *scratch, locs ...*Location) *pathExpansion {
-	px := &s.px
-	px.e = e
-	px.instances[""] = instance{key: "", graph: e.g.Start}
-	for _, l := range locs {
-		for n := 1; n <= len(l.Path); n++ {
-			k := prefKey(l.Path, n)
-			if _, ok := px.instances[k]; ok {
-				continue
-			}
-			px.instances[k] = instance{
-				key:    k,
-				parent: prefKey(l.Path, n-1),
-				edge:   l.Path[n-1],
-				graph:  l.Graphs[n],
-			}
+	for i, h := range l1.Graphs {
+		p := part{h: h, loc: l1, level: i, skip: [2]hypergraph.EdgeID{onPath(l1, i), hypergraph.NoEdge}}
+		if i <= cp {
+			p.skip[1] = onPath(l2, i)
 		}
+		emit(&p)
 	}
-	for _, ins := range px.instances {
-		if ins.key == "" {
-			continue
-		}
-		if px.onPath[ins.parent] == nil {
-			px.onPath[ins.parent] = map[hypergraph.EdgeID]bool{}
-		}
-		px.onPath[ins.parent][ins.edge] = true
-	}
-	return px
-}
-
-// keyOf returns the instance key of a location's innermost graph.
-func (px *pathExpansion) keyOf(l *Location) string {
-	return prefKey(l.Path, len(l.Path))
-}
-
-// canonical resolves a node of an instance to its canonical key:
-// external nodes of a non-root instance belong to the parent.
-func (px *pathExpansion) canonical(key string, n hypergraph.NodeID) nodeKey {
-	for {
-		ins := px.instances[key]
-		if key == "" || !ins.graph.IsExternal(n) {
-			return nodeKey{key, n}
-		}
-		parent := px.instances[ins.parent]
-		n = parent.graph.Att(ins.edge)[ins.graph.ExtIndex(n)]
-		key = ins.parent
-	}
-}
-
-// forEachEdge yields every edge of every expanded instance, skipping
-// nonterminal edges that are themselves expanded as child instances.
-func (px *pathExpansion) forEachEdge(yield func(instKey string, h *hypergraph.Graph, id hypergraph.EdgeID)) {
-	for _, ins := range px.instances {
-		for id := range ins.graph.EdgesSeq() {
-			if !px.e.g.IsTerminal(ins.graph.Label(id)) && px.onPath[ins.key][id] {
-				continue
-			}
-			yield(ins.key, ins.graph, id)
-		}
+	for i := cp + 1; i < len(l2.Graphs); i++ {
+		emit(&part{h: l2.Graphs[i], loc: l2, level: i, skip: [2]hypergraph.EdgeID{onPath(l2, i), hypergraph.NoEdge}})
 	}
 }
 
@@ -193,7 +75,8 @@ func (px *pathExpansion) forEachEdge(yield func(instKey string, h *hypergraph.Gr
 // "path-expanded" graph (with skeletons standing in for unexpanded
 // subtrees, and instances shared along the common prefix), and a
 // single BFS answers the query. This also covers the case where both
-// nodes lie in the same derivation subtree.
+// nodes lie in the same derivation subtree. The reachability skeleton
+// is the finite part of the min-plus one (see distSkeletons).
 func (e *Engine) Reachable(u, v int64) (bool, error) {
 	return e.ReachableContext(context.Background(), u, v)
 }
@@ -214,67 +97,41 @@ func (e *Engine) ReachableContext(ctx context.Context, u, v int64) (bool, error)
 	}
 	s := e.getScratch()
 	defer e.putScratch(s)
-	if err := e.locateInto(&s.loc1, u); err != nil {
+	if err := e.glueMinPlus(ctx, s, u, v); err != nil {
 		return false, err
 	}
-	if err := e.locateInto(&s.loc2, v); err != nil {
-		return false, err
-	}
-	skel, err := e.skeletons(ctx)
+	tk := ticker{ctx: ctx}
+	found, err := s.reach(&tk, u, v)
 	if err != nil {
 		return false, err
 	}
-	px := e.expandPathsInto(s, &s.loc1, &s.loc2)
+	if e.cache != nil {
+		e.cache.put(key, cacheVal{ok: found})
+	}
+	return found, nil
+}
 
-	adj := s.adj
-	px.forEachEdge(func(instKey string, h *hypergraph.Graph, id hypergraph.EdgeID) {
-		ed := h.Edge(id)
-		att := h.Att(id)
-		if e.g.IsTerminal(ed.Label) {
-			a := px.canonical(instKey, att[0])
-			b := px.canonical(instKey, att[1])
-			adj[a] = append(adj[a], b)
-			return
-		}
-		sk := skel[e.ruleIdx(ed.Label)]
-		for i := range sk {
-			for j := range sk[i] {
-				if sk[i][j] {
-					a := px.canonical(instKey, att[i])
-					b := px.canonical(instKey, att[j])
-					adj[a] = append(adj[a], b)
-				}
-			}
-		}
-	})
-
-	src := px.canonical(px.keyOf(&s.loc1), s.loc1.Node)
-	dst := px.canonical(px.keyOf(&s.loc2), s.loc2.Node)
-	seen := s.seen
-	seen[src] = true
+// reach reports whether dst is reachable from src over s.adj (arc
+// weights ignored), by BFS; s.dist records hop counts.
+func (s *scratch) reach(tk *ticker, src, dst int64) (bool, error) {
+	s.dist[src] = 0
 	s.queue = append(s.queue[:0], src)
-	tk := ticker{ctx: ctx}
-	found := false
 	for head := 0; head < len(s.queue); head++ {
 		if err := tk.check("query: reachable"); err != nil {
 			return false, err
 		}
 		x := s.queue[head]
 		if x == dst {
-			found = true
-			break
+			return true, nil
 		}
-		for _, y := range adj[x] {
-			if !seen[y] {
-				seen[y] = true
-				s.queue = append(s.queue, y)
+		for _, a := range s.adj[x] {
+			if _, ok := s.dist[a.to]; !ok {
+				s.dist[a.to] = s.dist[x] + 1
+				s.queue = append(s.queue, a.to)
 			}
 		}
 	}
-	if e.cache != nil {
-		e.cache.put(key, cacheVal{ok: found})
-	}
-	return found, nil
+	return false, nil
 }
 
 // ComponentCount returns the number of weakly connected components of

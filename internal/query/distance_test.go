@@ -1,10 +1,13 @@
 package query
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"graphrepair/internal/core"
+	"graphrepair/internal/govern"
+	"graphrepair/internal/grammar"
 	"graphrepair/internal/hypergraph"
 )
 
@@ -67,29 +70,31 @@ func TestDistanceOnChain(t *testing.T) {
 }
 
 func TestDistanceRandomGraphsProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 10; trial++ {
-		n := 15 + rng.Intn(50)
-		g := randomGraph(rng, n, 2*n, 1+rng.Intn(2))
-		res, err := core.Compress(g, 2, core.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := New(res.Grammar)
-		if err != nil {
-			t.Fatal(err)
-		}
-		derived := mustDerive(t, res.Grammar)
-		for q := 0; q < 150; q++ {
-			u := 1 + rng.Int63n(e.NumNodes())
-			v := 1 + rng.Int63n(e.NumNodes())
-			got, err := e.Distance(u, v)
+	for _, cfg := range compressConfigs() {
+		rng := rand.New(rand.NewSource(2))
+		for trial := 0; trial < 10; trial++ {
+			n := 15 + rng.Intn(50)
+			g := randomGraph(rng, n, 2*n, 1+rng.Intn(2))
+			res, err := core.Compress(g, 2, cfg.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := bruteDistance(derived, hypergraph.NodeID(u), hypergraph.NodeID(v))
-			if got != want {
-				t.Fatalf("trial %d: Distance(%d,%d) = %d, want %d", trial, u, v, got, want)
+			e, err := New(res.Grammar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			derived := mustDerive(t, res.Grammar)
+			for q := 0; q < 150; q++ {
+				u := 1 + rng.Int63n(e.NumNodes())
+				v := 1 + rng.Int63n(e.NumNodes())
+				got, err := e.Distance(u, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := bruteDistance(derived, hypergraph.NodeID(u), hypergraph.NodeID(v))
+				if got != want {
+					t.Fatalf("%s trial %d: Distance(%d,%d) = %d, want %d", cfg.name, trial, u, v, got, want)
+				}
 			}
 		}
 	}
@@ -146,5 +151,64 @@ func TestLabelHistogram(t *testing.T) {
 		if got[l] != c {
 			t.Fatalf("label %d: %d vs %d", l, got[l], c)
 		}
+	}
+}
+
+// doublingGrammar builds `levels` nested doubling rules (rule i
+// derives two copies of rule i-1 in series): val(G) is a chain of
+// 2^levels terminal edges from node 1 to node 2.
+func doublingGrammar(levels int) *grammar.Grammar {
+	s := hypergraph.New(2)
+	g := grammar.New(1, s)
+	prev := hypergraph.Label(1)
+	for i := 0; i < levels; i++ {
+		rhs := hypergraph.New(3)
+		rhs.AddEdge(prev, 1, 3)
+		rhs.AddEdge(prev, 3, 2)
+		rhs.SetExt(1, 2)
+		prev = g.AddRule(rhs)
+	}
+	s.AddEdge(prev, 1, 2)
+	return g
+}
+
+// TestDistanceDoublingDepth pins exact distances at the top of the
+// int64 range: the chain's length 2^62 is a real distance, not the
+// "no path" sentinel.
+func TestDistanceDoublingDepth(t *testing.T) {
+	for _, depth := range []int{61, 62} {
+		e, err := New(doublingGrammar(depth))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := e.Reachable(1, 2); err != nil || !ok {
+			t.Fatalf("depth %d: Reachable(1,2) = %v, %v", depth, ok, err)
+		}
+		if d, err := e.Distance(1, 2); err != nil || d != int64(1)<<depth {
+			t.Fatalf("depth %d: Distance(1,2) = %d, %v, want 2^%d", depth, d, err, depth)
+		}
+		if d, err := e.Distance(2, 1); err != nil || d != Unreachable {
+			t.Fatalf("depth %d: Distance(2,1) = %d, %v, want Unreachable", depth, d, err)
+		}
+	}
+}
+
+// TestEngineRejectsDerivedNodeOverflow pins that a grammar deriving
+// MaxInt64 or more nodes is refused with a typed limit error instead
+// of an engine whose numbering wrapped negative.
+func TestEngineRejectsDerivedNodeOverflow(t *testing.T) {
+	for _, depth := range []int{63, 100} {
+		_, err := New(doublingGrammar(depth))
+		var le *govern.LimitError
+		if !errors.Is(err, govern.ErrLimit) || !errors.As(err, &le) {
+			t.Fatalf("depth %d: New returned error %v, want a *govern.LimitError", depth, err)
+		}
+	}
+	e, err := New(doublingGrammar(62))
+	if err != nil {
+		t.Fatalf("depth 62: %v", err)
+	}
+	if n := e.NumNodes(); n != int64(1)<<62+1 {
+		t.Fatalf("depth 62: NumNodes = %d, want 2^62+1", n)
 	}
 }

@@ -6,7 +6,8 @@
 //   - Neighborhood queries (Prop. 4): in/out neighbors of a node in
 //     O(log ℓ + n·h) for n neighbors.
 //   - Reachability (Thm. 6): (s,t)-reachability in O(|G|) via
-//     per-nonterminal skeleton graphs.
+//     per-nonterminal skeleton graphs, and shortest-path distance via
+//     their min-plus generalization (reachability is its finite part).
 //   - Speed-up queries evaluated in one bottom-up pass: number of
 //     weakly connected components, minimum/maximum degree, node and
 //     edge counts.
@@ -20,19 +21,20 @@
 // query from any number of goroutines (DESIGN.md §13). Construction
 // is the compile phase — it derives every table the node numbering
 // of val(G) depends on into dense rule-indexed slices and leaves the
-// result immutable. Per-nonterminal summary layers (reachability
-// skeletons, min-plus distance skeletons, component/degree/label
-// aggregates) are memoized behind build-once guards, computed either
-// eagerly (EngineOptions.Precompute) or on the first query that needs
-// them; once built they are shared, lock-free, by all readers. All
-// per-query mutable state lives in pooled scratch structs, and an
-// optional bounded LRU (EngineOptions.CacheSize) short-circuits
-// repeated Reachable/Distance/Neighbors calls.
+// result immutable. Per-nonterminal summary layers (min-plus
+// skeletons, which answer both reachability and distance, and the
+// component/degree/label aggregates) are memoized behind build-once
+// guards, computed either eagerly (EngineOptions.Precompute) or on the
+// first query that needs them; once built they are shared, lock-free,
+// by all readers. All per-query mutable state lives in pooled scratch
+// structs, and an optional bounded LRU (EngineOptions.CacheSize)
+// short-circuits repeated Reachable/Distance/Neighbors calls.
 package query
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -47,10 +49,10 @@ import (
 // wants Precompute (pay the bottom-up passes at load time, before
 // traffic) and a CacheSize matched to its hot query set.
 type EngineOptions struct {
-	// Precompute builds every memo layer (reachability skeletons,
-	// min-plus distance skeletons, component count, degree stats,
-	// label histogram) during construction, so no query ever runs a
-	// bottom-up pass. Construction respects the context passed to
+	// Precompute builds every memo layer (min-plus skeletons,
+	// component count, degree stats, label histogram) during
+	// construction, so no query ever runs a bottom-up pass.
+	// Construction respects the context passed to
 	// NewWithOptions/NewContext.
 	Precompute bool
 	// CacheSize bounds the query-result LRU in entries; 0 disables
@@ -88,7 +90,6 @@ type Engine struct {
 
 	// Memo layers: computed once (under a lock, retried if canceled),
 	// then shared lock-free. See memo.go for the safety argument.
-	skel  memo[[][][]bool]  // reachability skeletons per rule
 	dskel memo[[][][]int64] // min-plus skeletons per rule
 	comp  memo[int64]       // weakly connected component count
 	deg   [3]memo[[2]int64] // {min, max} degree per Direction
@@ -208,7 +209,7 @@ func NewWithOptions(ctx context.Context, g *grammar.Grammar, opts EngineOptions)
 			if lab := rhs.Label(id); !g.IsTerminal(lab) {
 				ri.ntEdges = append(ri.ntEdges, id)
 				ri.ntOffsets = append(ri.ntOffsets, off)
-				off += e.count(lab)
+				off = govern.SatAdd(off, e.count(lab))
 			}
 		}
 		ri.derived = off
@@ -247,9 +248,14 @@ func NewWithOptions(ctx context.Context, g *grammar.Grammar, opts EngineOptions)
 	for _, id := range nts {
 		e.topEdges = append(e.topEdges, id)
 		e.topBase = append(e.topBase, base)
-		base += e.count(s.Label(id))
+		base = govern.SatAdd(base, e.count(s.Label(id)))
 	}
 	e.total = base
+	if e.total == math.MaxInt64 {
+		// The count saturated: derived IDs would not fit in int64, and
+		// MaxInt64 must stay free as the distance "infinity".
+		return nil, &govern.LimitError{Resource: "derived nodes", Demanded: math.MaxInt64, Allowed: math.MaxInt64 - 1}
+	}
 
 	// Scrub the incidence chains of every graph the queries will
 	// traverse: pruning leaves tombstoned slots behind, and the first
@@ -274,9 +280,6 @@ func NewWithOptions(ctx context.Context, g *grammar.Grammar, opts EngineOptions)
 	}
 
 	if opts.Precompute {
-		if _, err := e.skeletons(ctx); err != nil {
-			return nil, err
-		}
 		if _, err := e.distSkeletons(ctx); err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -30,6 +31,27 @@ func buildEngine(t *testing.T, g *hypergraph.Graph, terms hypergraph.Label, opts
 		t.Fatalf("engine sees %d edges, derived has %d", e.NumEdges(), derived.NumEdges())
 	}
 	return e, derived
+}
+
+// compressConfig is one grammar shape the query oracles run on.
+type compressConfig struct {
+	name string
+	opts core.Options
+}
+
+// compressConfigs are classic and max-repeat mode (wider rules), each
+// sequential and on two shard workers (the sharded merge's rule
+// layout). The first is core.DefaultOptions.
+func compressConfigs() []compressConfig {
+	var cfgs []compressConfig
+	for _, mode := range []core.CompressMode{core.ModeClassic, core.ModeMaxRepeat} {
+		for _, workers := range []int{1, 2} {
+			opts := core.DefaultOptions()
+			opts.Mode, opts.Workers = mode, workers
+			cfgs = append(cfgs, compressConfig{fmt.Sprintf("mode=%d/workers=%d", mode, workers), opts})
+		}
+	}
+	return cfgs
 }
 
 func randomGraph(rng *rand.Rand, n, m, labels int) *hypergraph.Graph {
@@ -142,22 +164,24 @@ func TestNeighborsDeepGrammar(t *testing.T) {
 }
 
 func TestReachableAgainstDerived(t *testing.T) {
-	rng := rand.New(rand.NewSource(55))
 	var rs hypergraph.ReachScratch
-	for trial := 0; trial < 10; trial++ {
-		n := 15 + rng.Intn(60)
-		g := randomGraph(rng, n, 2*n, 1+rng.Intn(2))
-		e, derived := buildEngine(t, g, 2, core.DefaultOptions())
-		for q := 0; q < 200; q++ {
-			u := 1 + rng.Int63n(e.NumNodes())
-			v := 1 + rng.Int63n(e.NumNodes())
-			got, err := e.Reachable(u, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := derived.ReachableWith(&rs, hypergraph.NodeID(u), hypergraph.NodeID(v))
-			if got != want {
-				t.Fatalf("trial %d: Reachable(%d,%d) = %v, want %v", trial, u, v, got, want)
+	for _, cfg := range compressConfigs() {
+		rng := rand.New(rand.NewSource(55))
+		for trial := 0; trial < 10; trial++ {
+			n := 15 + rng.Intn(60)
+			g := randomGraph(rng, n, 2*n, 1+rng.Intn(2))
+			e, derived := buildEngine(t, g, 2, cfg.opts)
+			for q := 0; q < 200; q++ {
+				u := 1 + rng.Int63n(e.NumNodes())
+				v := 1 + rng.Int63n(e.NumNodes())
+				got, err := e.Reachable(u, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := derived.ReachableWith(&rs, hypergraph.NodeID(u), hypergraph.NodeID(v))
+				if got != want {
+					t.Fatalf("%s trial %d: Reachable(%d,%d) = %v, want %v", cfg.name, trial, u, v, got, want)
+				}
 			}
 		}
 	}

@@ -84,6 +84,12 @@ type RPQ struct {
 	skel [][][]bool
 }
 
+// pstate is a node of a search graph paired with an NFA state.
+type pstate struct {
+	n int64
+	q int
+}
+
 // NewRPQ prepares a regular path query evaluator in O(|G|·Q²) for Q
 // NFA states (bounded rank).
 func (e *Engine) NewRPQ(nfa *NFA) *RPQ {
@@ -97,24 +103,28 @@ func (e *Engine) NewRPQ(nfa *NFA) *RPQ {
 func (e *Engine) NewRPQContext(ctx context.Context, nfa *NFA) (*RPQ, error) {
 	r := &RPQ{e: e, nfa: nfa, skel: make([][][]bool, len(e.rules))}
 	Q := nfa.States
+	s := e.getScratch()
+	defer e.putScratch(s)
 	tk := ticker{ctx: ctx}
+	var rhsTk ticker // rules are small: poll between them only
 	for _, nt := range e.bottomUp {
 		if err := tk.check("query: rpq skeletons"); err != nil {
 			return nil, err
 		}
 		rhs := e.rule(nt).rhs
 		ext := rhs.Ext()
-		adj := r.productAdjacency(rhs)
+		clear(s.padj)
+		p := rulePart(rhs)
+		r.productArcs(s.padj, &p)
 		sk := make([][]bool, len(ext)*Q)
 		for i, src := range ext {
 			for q := 0; q < Q; q++ {
+				clear(s.pseen)
+				_, _ = s.productBFS(&rhsTk, pstate{int64(src), q}, nil) // a zero ticker never fails
 				row := make([]bool, len(ext)*Q)
-				reach := bfsProduct(adj, prodNode{src, q})
 				for j, dst := range ext {
 					for p := 0; p < Q; p++ {
-						if (i != j || q != p) && reach[prodNode{dst, p}] {
-							row[j*Q+p] = true
-						}
+						row[j*Q+p] = (i != j || q != p) && s.pseen[pstate{int64(dst), p}]
 					}
 				}
 				sk[i*Q+q] = row
@@ -125,59 +135,58 @@ func (e *Engine) NewRPQContext(ctx context.Context, nfa *NFA) (*RPQ, error) {
 	return r, nil
 }
 
-type prodNode struct {
-	v hypergraph.NodeID
-	q int
-}
-
-// productAdjacency builds the product of a right-hand side (or start
-// graph) with the NFA: terminal edges advance the automaton, nested
-// nonterminal edges contribute their product skeletons.
-func (r *RPQ) productAdjacency(h *hypergraph.Graph) map[prodNode][]prodNode {
-	Q := r.nfa.States
-	adj := map[prodNode][]prodNode{}
-	for id := range h.EdgesSeq() {
-		ed := h.Edge(id)
-		att := h.Att(id)
-		if r.e.g.IsTerminal(ed.Label) {
+// productArcs adds the product of p with the NFA to adj: terminal
+// edges advance the automaton, nonterminal edges not expanded as
+// child instances contribute their product skeletons.
+func (r *RPQ) productArcs(adj map[pstate][]pstate, p *part) {
+	e, Q := r.e, r.nfa.States
+	for id := range p.h.EdgesSeq() {
+		lab, att := p.h.Label(id), p.h.Att(id)
+		if e.g.IsTerminal(lab) {
+			a, b := e.name(p, att[0]), e.name(p, att[1])
 			for q := 0; q < Q; q++ {
-				for _, p := range r.nfa.Next(q, ed.Label) {
-					a := prodNode{att[0], q}
-					adj[a] = append(adj[a], prodNode{att[1], p})
+				for _, to := range r.nfa.Next(q, lab) {
+					adj[pstate{a, q}] = append(adj[pstate{a, q}], pstate{b, to})
 				}
 			}
 			continue
 		}
-		sk := r.skel[r.e.ruleIdx(ed.Label)]
-		for iq := range sk {
-			i, q := iq/Q, iq%Q
-			for jp, ok := range sk[iq] {
-				if !ok {
-					continue
+		if p.expanded(id) {
+			continue
+		}
+		for iq, row := range r.skel[e.ruleIdx(lab)] {
+			from := pstate{e.name(p, att[iq/Q]), iq % Q}
+			for jp, ok := range row {
+				if ok {
+					adj[from] = append(adj[from], pstate{e.name(p, att[jp/Q]), jp % Q})
 				}
-				j, p := jp/Q, jp%Q
-				a := prodNode{att[i], q}
-				adj[a] = append(adj[a], prodNode{att[j], p})
 			}
 		}
 	}
-	return adj
 }
 
-func bfsProduct(adj map[prodNode][]prodNode, src prodNode) map[prodNode]bool {
-	reach := map[prodNode]bool{src: true}
-	queue := []prodNode{src}
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
-		for _, y := range adj[x] {
-			if !reach[y] {
-				reach[y] = true
-				queue = append(queue, y)
+// productBFS searches the product graph s.padj from src, marking
+// s.pseen, and reports whether it dequeued a state satisfying stop
+// (nil: search everything).
+func (s *scratch) productBFS(tk *ticker, src pstate, stop func(pstate) bool) (bool, error) {
+	s.pseen[src] = true
+	s.pqueue = append(s.pqueue[:0], src)
+	for head := 0; head < len(s.pqueue); head++ {
+		if err := tk.check("query: rpq match"); err != nil {
+			return false, err
+		}
+		x := s.pqueue[head]
+		if stop != nil && stop(x) {
+			return true, nil
+		}
+		for _, y := range s.padj[x] {
+			if !s.pseen[y] {
+				s.pseen[y] = true
+				s.pqueue = append(s.pqueue, y)
 			}
 		}
 	}
-	return reach
+	return false, nil
 }
 
 // Matches reports whether some path from derived node u to derived
@@ -203,61 +212,9 @@ func (r *RPQ) MatchesContext(ctx context.Context, u, v int64) (bool, error) {
 	if err := e.locateInto(&s.loc2, v); err != nil {
 		return false, err
 	}
-	px := e.expandPathsInto(s, &s.loc1, &s.loc2)
-	Q := r.nfa.States
-
-	adj := s.padj
-	px.forEachEdge(func(instKey string, h *hypergraph.Graph, id hypergraph.EdgeID) {
-		ed := h.Edge(id)
-		att := h.Att(id)
-		if e.g.IsTerminal(ed.Label) {
-			a := px.canonical(instKey, att[0])
-			b := px.canonical(instKey, att[1])
-			for q := 0; q < Q; q++ {
-				for _, p := range r.nfa.Next(q, ed.Label) {
-					adj[pk{a, q}] = append(adj[pk{a, q}], pk{b, p})
-				}
-			}
-			return
-		}
-		sk := r.skel[e.ruleIdx(ed.Label)]
-		for iq := range sk {
-			i, q := iq/Q, iq%Q
-			for jp, ok := range sk[iq] {
-				if !ok {
-					continue
-				}
-				j, p := jp/Q, jp%Q
-				a := px.canonical(instKey, att[i])
-				b := px.canonical(instKey, att[j])
-				adj[pk{a, q}] = append(adj[pk{a, q}], pk{b, p})
-			}
-		}
-	})
-
-	src := pk{px.canonical(px.keyOf(&s.loc1), s.loc1.Node), r.nfa.Start}
-	dstNode := px.canonical(px.keyOf(&s.loc2), s.loc2.Node)
-	if src.n == dstNode && r.nfa.Accept[r.nfa.Start] {
-		return true, nil // empty path
-	}
-	seen := s.pseen
-	seen[src] = true
-	s.pqueue = append(s.pqueue[:0], src)
+	e.expandPaths(&s.loc1, &s.loc2, func(p *part) { r.productArcs(s.padj, p) })
 	tk := ticker{ctx: ctx}
-	for head := 0; head < len(s.pqueue); head++ {
-		if err := tk.check("query: rpq match"); err != nil {
-			return false, err
-		}
-		x := s.pqueue[head]
-		if x.n == dstNode && r.nfa.Accept[x.q] {
-			return true, nil
-		}
-		for _, y := range adj[x] {
-			if !seen[y] {
-				seen[y] = true
-				s.pqueue = append(s.pqueue, y)
-			}
-		}
-	}
-	return false, nil
+	return s.productBFS(&tk, pstate{u, r.nfa.Start}, func(x pstate) bool {
+		return x.n == v && r.nfa.Accept[x.q]
+	})
 }

@@ -106,39 +106,41 @@ func TestStarNFAEquivalentToReachable(t *testing.T) {
 }
 
 func TestRPQAgainstBruteForceProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 8; trial++ {
-		n := 15 + rng.Intn(40)
-		g := randomGraph(rng, n, 3*n, 3)
-		res, err := core.Compress(g, 3, core.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		e, err := New(res.Grammar)
-		if err != nil {
-			t.Fatal(err)
-		}
-		derived := mustDerive(t, res.Grammar)
-
-		// A random small NFA.
-		nfa := NewNFA(2+rng.Intn(3), 0)
-		for i := 0; i < 6; i++ {
-			nfa.AddTransition(rng.Intn(nfa.States),
-				hypergraph.Label(1+rng.Intn(3)), rng.Intn(nfa.States))
-		}
-		nfa.SetAccept(rng.Intn(nfa.States))
-		rpq := e.NewRPQ(nfa)
-
-		for q := 0; q < 120; q++ {
-			u := 1 + rng.Int63n(e.NumNodes())
-			v := 1 + rng.Int63n(e.NumNodes())
-			got, err := rpq.Matches(u, v)
+	for _, cfg := range compressConfigs() {
+		rng := rand.New(rand.NewSource(23))
+		for trial := 0; trial < 8; trial++ {
+			n := 15 + rng.Intn(40)
+			g := randomGraph(rng, n, 3*n, 3)
+			res, err := core.Compress(g, 3, cfg.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := bruteMatches(derived, nfa, hypergraph.NodeID(u), hypergraph.NodeID(v))
-			if got != want {
-				t.Fatalf("trial %d: RPQ(%d,%d) = %v, want %v", trial, u, v, got, want)
+			e, err := New(res.Grammar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			derived := mustDerive(t, res.Grammar)
+
+			// A random small NFA.
+			nfa := NewNFA(2+rng.Intn(3), 0)
+			for i := 0; i < 6; i++ {
+				nfa.AddTransition(rng.Intn(nfa.States),
+					hypergraph.Label(1+rng.Intn(3)), rng.Intn(nfa.States))
+			}
+			nfa.SetAccept(rng.Intn(nfa.States))
+			rpq := e.NewRPQ(nfa)
+
+			for q := 0; q < 120; q++ {
+				u := 1 + rng.Int63n(e.NumNodes())
+				v := 1 + rng.Int63n(e.NumNodes())
+				got, err := rpq.Matches(u, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := bruteMatches(derived, nfa, hypergraph.NodeID(u), hypergraph.NodeID(v))
+				if got != want {
+					t.Fatalf("%s trial %d: RPQ(%d,%d) = %v, want %v", cfg.name, trial, u, v, got, want)
+				}
 			}
 		}
 	}

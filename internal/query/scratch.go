@@ -1,65 +1,43 @@
 package query
 
-import "graphrepair/internal/hypergraph"
-
-// scratch is all the per-call mutable state of the query phase: BFS
-// frontiers, expanded-adjacency maps, G-representation paths, the
-// neighbor accumulation buffer. The compiled Engine itself is
-// immutable, so one scratch per in-flight query is the only mutable
-// memory a query touches; scratches are recycled through Engine.pool,
-// making the steady state of a long-lived server allocation-light
-// (TestNeighborsAllocationBudget pins the Neighbors/Locate paths).
+// scratch is all the per-call mutable state of the query phase: the
+// G-representation paths, the glued search graph, BFS queues, the
+// Dijkstra heap, the neighbor accumulation buffer. The compiled
+// Engine itself is immutable, so one scratch per in-flight query (or
+// skeleton pass) is the only mutable memory it touches; scratches are
+// recycled through Engine.pool, making the steady state of a
+// long-lived server allocation-light (TestNeighborsAllocationBudget
+// pins the Neighbors/Locate paths).
 //
-// Maps are cleared on release rather than reallocated, so their
-// buckets survive between queries; value slices inside the adjacency
-// maps are rebuilt per query (they are the per-query graph itself).
+// Search-graph nodes are int64 names: derived IDs in a query's path
+// expansion, rule NodeIDs in a bottom-up skeleton pass. Maps are
+// cleared on release rather than reallocated, so their buckets
+// survive between queries; the adjacency value slices are rebuilt per
+// query (they are the per-query graph itself).
 type scratch struct {
 	loc1, loc2 Location
 	out        []int64
 
-	px pathExpansion
+	// Min-plus search graph (Reachable, Distance, distance skeletons):
+	// arcs, distances (BFS hop counts for Reachable), and the Dijkstra
+	// heap of (node, tentative distance) entries.
+	adj   map[int64][]arc
+	dist  map[int64]int64
+	heap  []arc
+	queue []int64
 
-	// Unweighted BFS (Reachable).
-	adj   map[nodeKey][]nodeKey
-	seen  map[nodeKey]bool
-	queue []nodeKey
-
-	// Min-plus (Distance).
-	wadj map[nodeKey][]wnk
-	dist map[nodeKey]int64
-	done map[nodeKey]bool
-
-	// NFA product (RPQ.Matches).
-	padj   map[pk][]pk
-	pseen  map[pk]bool
-	pqueue []pk
-}
-
-// wnk is a weighted arc of the path-expanded graph.
-type wnk struct {
-	to nodeKey
-	w  int64
-}
-
-// pk is a node of the path-expanded graph paired with an NFA state.
-type pk struct {
-	n nodeKey
-	q int
+	// NFA product search graph (RPQ skeletons, Matches).
+	padj   map[pstate][]pstate
+	pseen  map[pstate]bool
+	pqueue []pstate
 }
 
 func newScratch() *scratch {
 	return &scratch{
-		px: pathExpansion{
-			instances: map[string]instance{},
-			onPath:    map[string]map[hypergraph.EdgeID]bool{},
-		},
-		adj:   map[nodeKey][]nodeKey{},
-		seen:  map[nodeKey]bool{},
-		wadj:  map[nodeKey][]wnk{},
-		dist:  map[nodeKey]int64{},
-		done:  map[nodeKey]bool{},
-		padj:  map[pk][]pk{},
-		pseen: map[pk]bool{},
+		adj:   map[int64][]arc{},
+		dist:  map[int64]int64{},
+		padj:  map[pstate][]pstate{},
+		pseen: map[pstate]bool{},
 	}
 }
 
@@ -75,19 +53,15 @@ func (e *Engine) getScratch() *scratch {
 
 // putScratch clears the scratch's per-query state and returns it to
 // the pool. Clearing happens here, on release, so pooled scratches
-// hold no references into finished queries (the instance-key strings
-// and adjacency slices become collectable immediately).
+// hold no references into finished queries (the adjacency slices
+// become collectable immediately).
 func (e *Engine) putScratch(s *scratch) {
 	s.out = s.out[:0]
+	s.heap = s.heap[:0]
 	s.queue = s.queue[:0]
 	s.pqueue = s.pqueue[:0]
-	clear(s.px.instances)
-	clear(s.px.onPath)
 	clear(s.adj)
-	clear(s.seen)
-	clear(s.wadj)
 	clear(s.dist)
-	clear(s.done)
 	clear(s.padj)
 	clear(s.pseen)
 	e.pool.Put(s)

@@ -370,6 +370,29 @@ func retryAfter(queueWait time.Duration) string {
 // refused, and a clean shutdown returns nil.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	srv := &http.Server{Handler: s.Handler()}
+	// http.Server.Shutdown counts a connection that has not sent a
+	// request yet as busy for 5s — the whole grace — so one spare
+	// keep-alive dial from a client would turn a clean drain into a
+	// timeout. Such connections carry no in-flight request: the drain
+	// closes them, like the listener refuses new ones.
+	var mu sync.Mutex
+	unused := map[net.Conn]bool{}
+	srv.ConnState = func(c net.Conn, st http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		if st == http.StateNew {
+			unused[c] = true
+		} else {
+			delete(unused, c)
+		}
+	}
+	srv.RegisterOnShutdown(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		for c := range unused {
+			c.Close()
+		}
+	})
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {

@@ -416,6 +416,15 @@ func TestShutdownDrain(t *testing.T) {
 	go func() { served <- s.Serve(ctx, ln) }()
 	base := "http://" + ln.Addr().String()
 
+	// A connection that never sends a request must not stall the
+	// drain. Accept is FIFO, so once the slow query below is in
+	// flight, the server has accepted this one too.
+	unused, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unused.Close()
+
 	slow := make(chan int, 1)
 	go func() {
 		resp, err := http.Get(base + "/query?q=components")
